@@ -115,14 +115,17 @@ impl<V> LfuMap<V> {
         Some((key, slot.value, slot.freq))
     }
 
-    /// The `n` least-frequently-used keys (ascending by frequency) together
-    /// with their frequencies, without removing them.
-    pub fn least_frequent(&self, n: usize) -> Vec<(&[u8], u64)> {
+    /// Walk the keys with their frequencies in eviction order (ascending
+    /// frequency, ties least recently inserted or accessed first), without
+    /// removing them.
+    ///
+    /// The walk is lazy: reaching the first key costs O(log n) and each
+    /// further key O(1) amortized, so a caller that stops after `k` keys pays
+    /// for `k`, not for the whole map.
+    pub fn ascending(&self) -> impl Iterator<Item = (&[u8], u64)> + '_ {
         self.order
             .iter()
-            .take(n)
             .map(|((freq, _), key)| (key.as_slice(), *freq))
-            .collect()
     }
 
     /// Iterate over all `(key, value)` pairs in unspecified order.
@@ -170,13 +173,22 @@ mod tests {
     #[test]
     fn least_frequent_listing() {
         let mut m = LfuMap::new();
-        for (k, n) in [(b"a", 5), (b"b", 1), (b"c", 3)] {
+        for (k, n) in [(b"a", 5), (b"b", 1), (b"c", 3), (b"d", 3)] {
             m.insert_with_frequency(k, 0, n);
         }
-        let lf = m.least_frequent(2);
-        assert_eq!(lf[0], (b"b".as_slice(), 1));
-        assert_eq!(lf[1], (b"c".as_slice(), 3));
-        assert_eq!(m.least_frequent(10).len(), 3);
+        let lf: Vec<_> = m.ascending().take(2).collect();
+        assert_eq!(lf, [(b"b".as_slice(), 1), (b"c".as_slice(), 3)]);
+        // Equal frequencies walk least-recent first; an access moves the key
+        // behind every key of its new frequency.
+        m.get(b"b");
+        m.get(b"b");
+        let all: Vec<Vec<u8>> = m.ascending().map(|(k, _)| k.to_vec()).collect();
+        assert_eq!(all, [b"c", b"d", b"b", b"a"]);
+        // The walk is the order `pop_lfu` evicts in.
+        for expected in all {
+            assert_eq!(m.pop_lfu().map(|(k, _, _)| k), Some(expected));
+        }
+        assert_eq!(m.ascending().next(), None);
     }
 
     #[test]

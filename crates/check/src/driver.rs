@@ -428,10 +428,17 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     let churn_log = churn_thread.join().unwrap();
 
     // Whatever the scenario did to it, the ordered index must satisfy its
-    // structural invariants once the cluster quiesces (the walker needs a
-    // quiescent point; clients and churn have joined).
+    // structural invariants once the cluster quiesces. The walker needs a
+    // quiescent point: clients and churn have joined, but a merge or a
+    // compactor relocation swings the hash index before the ordered index,
+    // so wait out every merge and hold the collectors off for the walk.
     let _ = kvs.flush_all();
-    if let Err(e) = kvs.dpm().check_ordered() {
+    kvs.dpm().wait_until_all_merged();
+    let ordered = {
+        let _collectors = kvs.dpm().pause_collectors();
+        kvs.dpm().check_ordered()
+    };
+    if let Err(e) = ordered {
         panic!("ordered-index invariants violated after scenario: {e}");
     }
 

@@ -662,7 +662,18 @@ impl<T> fmt::Debug for Atomic<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::{Arc, MutexGuard};
+
+    /// Every test here pins, retires and drains against the one process-wide
+    /// epoch, and some assert that garbage is *not* yet freed; a neighbour's
+    /// drain running concurrently can advance the epoch twice and free it.
+    /// Each test holds this lock for its whole body so they run one at a time.
+    fn serial() -> MutexGuard<'static, ()> {
+        static GLOBAL_EPOCH: Mutex<()> = Mutex::new(());
+        // A failed test poisons the lock; the epoch state it guards is still
+        // consistent, so later tests proceed.
+        GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Bumps a shared counter when dropped.
     struct DropCounter(Arc<AtomicU64>);
@@ -695,6 +706,7 @@ mod tests {
 
     #[test]
     fn deferred_drop_runs_after_unpin() {
+        let _serial = serial();
         let drops = Arc::new(AtomicU64::new(0));
         let slot = Atomic::new(DropCounter(Arc::clone(&drops)));
 
@@ -726,6 +738,7 @@ mod tests {
 
     #[test]
     fn nested_pins_share_one_epoch_slot() {
+        let _serial = serial();
         let outer = pin();
         let inner = pin();
         drop(outer);
@@ -753,6 +766,7 @@ mod tests {
 
     #[test]
     fn many_threads_retire_and_everything_drops() {
+        let _serial = serial();
         let drops = Arc::new(AtomicU64::new(0));
         let slot = Arc::new(Atomic::new(DropCounter(Arc::clone(&drops))));
         let threads: Vec<_> = (0..4)
@@ -786,6 +800,7 @@ mod tests {
 
     #[test]
     fn exiting_thread_seals_its_bag_and_strands_nothing() {
+        let _serial = serial();
         // A worker that retires garbage — including closures standing in
         // for deferred segment frees — and exits *without ever flushing*
         // must not strand anything: `LocalHandle::drop` seals the bag into
@@ -821,6 +836,7 @@ mod tests {
 
     #[test]
     fn bag_overflow_seals_without_explicit_flush() {
+        let _serial = serial();
         // Retiring past MAX_BAG_LEN on a live thread seals the bag into
         // the global buckets even though the thread never calls flush().
         let drops = Arc::new(AtomicU64::new(0));
